@@ -25,6 +25,14 @@
 //! The check assumes `sfqload` is the daemon's only client for the
 //! duration of the run. Any mismatch exits 1.
 //!
+//! It also gates the **wire gap**: the client total p50 minus the
+//! service total p50 (saturating at 0), recorded as `wire_ns.p50_ns`.
+//! That difference is time spent in framing, the socket and the client —
+//! not in the daemon — and it exits 1 above [`WIRE_GAP_LIMIT_NS`]. A
+//! framing regression such as a lost `TCP_NODELAY` (a 40 ms
+//! delayed-ACK stall per frame) fails here instead of hiding in the
+//! throughput figure.
+//!
 //! `--gate 1` instead runs the **overhead gate**: alternating rounds of
 //! identical healthy-only load against two in-process daemons — ops
 //! registry enabled vs disabled — and asserts the registry costs ≤ 1%
@@ -32,7 +40,8 @@
 //! metric is the *minimum* of the median per-round ratio and the
 //! ratio-of-minimums, so a single noisy round cannot fail the gate.
 //!
-//! Exit codes: 0 success, 1 ledger mismatch or failed gate, 2 usage.
+//! Exit codes: 0 success, 1 ledger mismatch, wire gap over the limit or
+//! failed gate, 2 usage.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -52,6 +61,10 @@ usage: sfqload [--addr HOST:PORT] [--jobs N] [--inflight N] [--seed N] [--out PA
 Drive a deterministic mixed-traffic load at an sfqpartd, write BENCH_4.json,
 and cross-check client terminal counts against the daemon's stats ledger.
 --gate runs the ops-registry overhead gate (enabled vs disabled A/B) instead.";
+
+/// Ceiling on the wire gap's p50: 5 ms. Loopback framing costs tens of
+/// microseconds; a Nagle/delayed-ACK stall costs 40 ms.
+const WIRE_GAP_LIMIT_NS: u64 = 5_000_000;
 
 fn main() {
     std::process::exit(run());
@@ -338,6 +351,7 @@ fn write_bench(
     before: &StatsSnapshot,
     after: &StatsSnapshot,
     ledger_match: bool,
+    wire_p50_ns: u64,
 ) {
     let BenchRun {
         path,
@@ -400,7 +414,8 @@ fn write_bench(
         percentile_json("solve_ns", &solve),
         percentile_json("total_ns", &total),
     );
-    let _ = writeln!(json, "  \"ledger_match\": {ledger_match}");
+    let _ = writeln!(json, "  \"ledger_match\": {ledger_match},");
+    let _ = writeln!(json, "  \"wire_ns\": {{\"p50_ns\": {wire_p50_ns}}}");
     json.push_str("}\n");
     match std::fs::write(path, &json) {
         Ok(()) => eprintln!("wrote {path}"),
@@ -652,6 +667,9 @@ fn run() -> i32 {
 
     let mismatches = ledger_mismatches(&outcome, &before, &after);
     let ledger_match = mismatches.is_empty();
+    let client_p50 = exact_percentile(&outcome.total_ns, 0.50);
+    let service_p50 = after.total_ns.diff(&before.total_ns).percentile(0.50);
+    let wire_p50 = client_p50.saturating_sub(service_p50);
     write_bench(
         &BenchRun {
             path: &out,
@@ -664,6 +682,7 @@ fn run() -> i32 {
         &before,
         &after,
         ledger_match,
+        wire_p50,
     );
     drop(client);
     if let Some(daemon) = local {
@@ -671,11 +690,19 @@ fn run() -> i32 {
     }
     if ledger_match {
         println!("ledger cross-check: client terminal counts match the service ledger");
-        0
     } else {
         for m in &mismatches {
             eprintln!("sfqload: ledger mismatch — {m}");
         }
-        1
     }
+    let wire_ok = wire_p50 <= WIRE_GAP_LIMIT_NS;
+    println!(
+        "wire-gap gate: {} — client p50 {} − service p50 {} = {} (limit {})",
+        if wire_ok { "PASS" } else { "FAIL" },
+        format_ns(client_p50),
+        format_ns(service_p50),
+        format_ns(wire_p50),
+        format_ns(WIRE_GAP_LIMIT_NS),
+    );
+    i32::from(!(ledger_match && wire_ok))
 }

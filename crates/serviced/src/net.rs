@@ -6,9 +6,32 @@
 //! [`LineReader`] / [`ConnWriter`] handles. That keeps the "what can
 //! happen to a socket" surface auditable in one place — the same
 //! confinement discipline the core crate applies to its telemetry sinks.
+//!
+//! # Wire latency
+//!
+//! Every socket this module hands out has `TCP_NODELAY` set, and every
+//! frame leaves in one `write_all` of `line + '\n'`. Both halves matter:
+//!
+//! - **write-write-read.** Sending a frame as two writes (payload, then a
+//!   1-byte newline) puts the second segment behind Nagle's algorithm:
+//!   it waits for the ACK of the first, and the peer delays that ACK for
+//!   up to 40 ms because it has not yet seen a complete frame to answer.
+//!   One buffer per frame means there is no trailing small write.
+//! - **`accepted`-then-`done` from two threads.** The connection handler
+//!   sends `accepted` and a worker sends `done` moments later. Without
+//!   `TCP_NODELAY` the second small frame waits for the first one's ACK,
+//!   which the client delays — so a 2 ms solve reached the client after
+//!   about 20–40 ms. With `TCP_NODELAY` each frame is its own segment and
+//!   leaves as soon as it is written.
+//!
+//! The remaining timers were audited as latency floors (DESIGN.md §11,
+//! "Wire latency"): the daemon's connection read timeout (`CONN_POLL`)
+//! and a client's read tick only bound how often an *idle* reader polls
+//! a flag — a frame wakes a blocked read at once — and the divergence
+//! retry backoff delays only jobs that diverged.
 
 use sfq_partition::witness::{self, Mutex};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,7 +111,7 @@ impl LineReader {
 
 #[derive(Debug)]
 struct WriterState {
-    stream: BufWriter<TcpStream>,
+    stream: TcpStream,
     /// Sticky: once a write fails the connection is considered gone and
     /// every further send is a silent no-op. Job execution never depends
     /// on a deliverable client — results are simply dropped.
@@ -98,8 +121,8 @@ struct WriterState {
 /// Shared, thread-safe frame writer for one connection.
 ///
 /// Clones share the socket: the connection handler and any number of
-/// worker/progress threads interleave whole frames (the mutex spans one
-/// line + flush, so frames never tear).
+/// worker/progress threads interleave whole frames (the mutex spans the
+/// one write of a frame, so frames never tear).
 #[derive(Debug, Clone)]
 pub struct ConnWriter {
     inner: Arc<Mutex<WriterState>>,
@@ -111,26 +134,23 @@ impl ConnWriter {
             inner: Arc::new(witness::mutex(
                 "serviced:connwriter::inner",
                 WriterState {
-                    stream: BufWriter::new(stream),
+                    stream,
                     dead: false,
                 },
             )),
         }
     }
 
-    /// Sends one frame line (newline appended, flushed). Returns whether
-    /// the connection still looked alive.
+    /// Sends one frame line (newline appended) in a single write.
+    /// Returns whether the connection still looked alive.
     pub fn send_line(&self, line: &str) -> bool {
+        // Assembled before locking: the critical section is the write.
+        let frame = [line.as_bytes(), b"\n"].concat();
         let mut state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if state.dead {
             return false;
         }
-        let ok = state
-            .stream
-            .write_all(line.as_bytes())
-            .and_then(|()| state.stream.write_all(b"\n"))
-            .and_then(|()| state.stream.flush())
-            .is_ok();
+        let ok = state.stream.write_all(&frame).is_ok();
         if !ok {
             state.dead = true;
         }
@@ -182,10 +202,20 @@ impl Listener {
         read_timeout: Option<Duration>,
     ) -> std::io::Result<(LineReader, ConnWriter)> {
         let (stream, _peer) = self.listener.accept()?;
-        stream.set_read_timeout(read_timeout)?;
-        let write_half = stream.try_clone()?;
-        Ok((LineReader::new(stream), ConnWriter::new(write_half)))
+        split(stream, read_timeout)
     }
+}
+
+/// Configures a fresh connection (no-delay, read timeout) and splits it
+/// into its reader and shared-writer halves.
+fn split(
+    stream: TcpStream,
+    read_timeout: Option<Duration>,
+) -> std::io::Result<(LineReader, ConnWriter)> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read_timeout)?;
+    let write_half = stream.try_clone()?;
+    Ok((LineReader::new(stream), ConnWriter::new(write_half)))
 }
 
 /// Connects a client to a daemon.
@@ -197,10 +227,7 @@ pub fn connect<A: ToSocketAddrs>(
     addr: A,
     read_timeout: Option<Duration>,
 ) -> std::io::Result<(LineReader, ConnWriter)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(read_timeout)?;
-    let write_half = stream.try_clone()?;
-    Ok((LineReader::new(stream), ConnWriter::new(write_half)))
+    split(TcpStream::connect(addr)?, read_timeout)
 }
 
 /// Opens and immediately drops a connection to `addr` — used by drain to
@@ -215,6 +242,16 @@ mod tests {
 
     #[test]
     fn lines_cross_the_socket_whole() {
+        // A 64 KiB frame spans many TCP segments; a 1-byte frame is one.
+        let big: String = (0..64 * 1024)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let frames = [
+            "one".to_string(),
+            "two {\"k\":1}".to_string(),
+            big,
+            "x".to_string(),
+        ];
         let listener = Listener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
@@ -224,16 +261,67 @@ mod tests {
             }
         });
         let (mut reader, writer) = connect(addr, None).unwrap();
-        assert!(writer.send_line("one"));
-        assert!(writer.send_line("two {\"k\":1}"));
-        assert_eq!(reader.next_line(), ReadLine::Line("echo one".into()));
-        assert_eq!(
-            reader.next_line(),
-            ReadLine::Line("echo two {\"k\":1}".into())
-        );
+        for frame in &frames {
+            assert!(writer.send_line(frame));
+            assert_eq!(reader.next_line(), ReadLine::Line(format!("echo {frame}")));
+        }
         drop(reader);
         drop(writer);
         server.join().unwrap();
+    }
+
+    /// Whether a connection's socket has `TCP_NODELAY` set, read through
+    /// both halves (they share one descriptor).
+    fn nodelay(reader: &LineReader, writer: &ConnWriter) -> (bool, bool) {
+        let read_half = reader.reader.get_ref().nodelay().unwrap();
+        let write_half = writer.inner.lock().unwrap().stream.nodelay().unwrap();
+        (read_half, write_half)
+    }
+
+    #[test]
+    fn accepted_and_connected_sockets_are_nodelay() {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (client_reader, client_writer) = connect(addr, None).unwrap();
+        let (server_reader, server_writer) = listener.accept(None).unwrap();
+        assert_eq!(nodelay(&client_reader, &client_writer), (true, true));
+        assert_eq!(nodelay(&server_reader, &server_writer), (true, true));
+    }
+
+    #[test]
+    fn cloned_writers_on_two_threads_never_tear_a_frame() {
+        const FRAMES: usize = 200;
+        const LEN: usize = 20_000;
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (mut reader, _client_writer) = connect(addr, None).unwrap();
+        let (_server_reader, writer) = listener.accept(None).unwrap();
+        let senders: Vec<_> = [b'a', b'b']
+            .into_iter()
+            .map(|fill| {
+                let writer = writer.clone();
+                std::thread::spawn(move || {
+                    let frame = String::from_utf8(vec![fill; LEN]).unwrap();
+                    for _ in 0..FRAMES {
+                        assert!(writer.send_line(&frame));
+                    }
+                })
+            })
+            .collect();
+        let mut counts = [0usize; 2];
+        for _ in 0..2 * FRAMES {
+            let ReadLine::Line(line) = reader.next_line() else {
+                panic!("connection ended early");
+            };
+            assert_eq!(line.len(), LEN, "frame torn or merged");
+            let first = line.as_bytes()[0];
+            assert!(line.bytes().all(|b| b == first), "frames interleaved");
+            counts[usize::from(first - b'a')] += 1;
+        }
+        for sender in senders {
+            sender.join().unwrap();
+        }
+        assert_eq!(counts, [FRAMES, FRAMES]);
     }
 
     #[test]
